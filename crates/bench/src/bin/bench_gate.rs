@@ -585,19 +585,30 @@ fn gate_pareto(gate: &mut Gate, fresh: &Value, baseline: &Value) {
         fresh.get("deterministic_identity").and_then(Value::as_bool) == Some(true),
         "BENCH_pareto: 1-thread and 4-thread sweeps were bit-identical in-process",
     );
-    // The tentpole invariant: the pseudo-3-D stage ran exactly once per
-    // distinct 3-D scenario — every frequency rung of a scenario forked
-    // its checkpoint instead of recomputing it.
-    let scenarios = fresh.get("scenarios").and_then(Value::as_u64);
+    // Checkpoint economics: the pseudo-3-D stage ran once for the
+    // design, and one implementation trajectory per stacking style ×
+    // frequency served every corner of that pair.
     let pseudo = fresh.get("pseudo3d_runs").and_then(Value::as_u64);
     gate.check(
-        scenarios.is_some() && pseudo == scenarios,
+        pseudo == Some(1),
+        &format!("BENCH_pareto: pseudo-3D runs {pseudo:?} == Some(1) (one checkpoint per design)"),
+    );
+    let styles = fresh.get("stacking_styles").and_then(Value::as_u64);
+    let steps = fresh.get("freq_steps").and_then(Value::as_u64);
+    let trajectories = fresh.get("trajectories").and_then(Value::as_u64);
+    gate.check(
+        trajectories.is_some() && trajectories == styles.zip(steps).map(|(s, k)| s * k),
         &format!(
-            "BENCH_pareto: pseudo-3D runs {pseudo:?} == distinct scenarios {scenarios:?} \
-             (one checkpoint per scenario, never per grid point)"
+            "BENCH_pareto: trajectories {trajectories:?} == stacking styles {styles:?} x \
+             frequency steps {steps:?} (corners share a trajectory)"
         ),
     );
-    for field in ["scenarios", "pseudo3d_runs", "frontier_points"] {
+    for field in [
+        "scenarios",
+        "pseudo3d_runs",
+        "trajectories",
+        "frontier_points",
+    ] {
         let f = fresh.get(field).and_then(Value::as_u64);
         let b = baseline.get(field).and_then(Value::as_u64);
         gate.check(

@@ -6,10 +6,10 @@
 //! asserts the two [`ParetoSummary`] point sets are **bit-identical**:
 //! the sweep fans out through `par_invoke`, whose input-order results
 //! make the frontier independent of the thread count. It also asserts
-//! the checkpoint economics of the sweep: the pseudo-3-D stage runs
-//! exactly once per distinct 3-D scenario (never once per grid point),
-//! counted from the telemetry manifest across the `pareto/<scenario>`
-//! scopes. The emitted document carries the exact swept points (frontier
+//! the checkpoint economics of the sweep, counted from the telemetry
+//! manifest across every scope: the pseudo-3-D stage runs once for the
+//! design, and the flow runs one implementation trajectory per stacking
+//! style × frequency, each signed off at every corner. The emitted document carries the exact swept points (frontier
 //! flags included) for the bench gate's bit-for-bit comparison, plus
 //! wall-derived scenario throughput for an absolute floor check.
 //!
@@ -34,10 +34,17 @@ const FREQ_MIN_GHZ: f64 = 0.8;
 const FREQ_MAX_GHZ: f64 = 1.2;
 const FREQ_STEPS: usize = 3;
 
-/// One instrumented sweep at `threads` workers: the summary, the
-/// pseudo-3-D run count summed across all telemetry scopes, and the
-/// wall time.
-fn sweep(netlist: &Netlist, base: &FlowOptions, threads: usize) -> (ParetoSummary, u64, f64) {
+/// One instrumented sweep at `threads` workers.
+struct Sweep {
+    summary: ParetoSummary,
+    /// Pseudo-3-D builds, summed across all telemetry scopes.
+    pseudo_runs: u64,
+    /// Implementation trajectories the grid executor ran.
+    trajectories: u64,
+    wall_s: f64,
+}
+
+fn sweep(netlist: &Netlist, base: &FlowOptions, threads: usize) -> Sweep {
     let options = FlowOptions {
         threads,
         obs: Obs::enabled(),
@@ -58,16 +65,19 @@ fn sweep(netlist: &Netlist, base: &FlowOptions, threads: usize) -> (ParetoSummar
         )
         .expect("pareto sweep");
     let wall_s = started.elapsed().as_secs_f64();
-    let pseudo_runs = session
-        .options()
-        .obs
-        .manifest()
+    let manifest = session.options().obs.manifest();
+    let pseudo_runs = manifest
         .counters
         .iter()
         .filter(|(k, _)| k == "flow/pseudo3d_runs" || k.ends_with("/flow/pseudo3d_runs"))
         .map(|&(_, v)| v)
         .sum();
-    (summary, pseudo_runs, wall_s)
+    Sweep {
+        summary,
+        pseudo_runs,
+        trajectories: manifest.counter("flow/trajectories").unwrap_or(0),
+        wall_s,
+    }
 }
 
 fn main() {
@@ -79,27 +89,37 @@ fn main() {
     let base = m3d_bench::bench_options();
 
     // The identity check: one worker vs four, same netlist, same knobs.
-    let (seq, seq_pseudo, _) = sweep(&netlist, &base, 1);
-    let (par, par_pseudo, par_wall_s) = sweep(&netlist, &base, 4);
-    let identical = seq == par;
+    let seq = sweep(&netlist, &base, 1);
+    let par = sweep(&netlist, &base, 4);
+    let identical = seq.summary == par.summary;
     assert!(
         identical,
         "pareto determinism violated: 1-thread and 4-thread sweeps differ"
     );
 
-    // Checkpoint economics: one pseudo-3-D run per distinct 3-D
-    // scenario, regardless of the frequency-grid size.
-    let scenarios = StackingStyle::ALL.len() * Corner::ALL.len();
-    for (lane, runs) in [("1-thread", seq_pseudo), ("4-thread", par_pseudo)] {
+    // Checkpoint economics: one pseudo-3-D run for the design and one
+    // trajectory per stacking style × frequency, whatever the corners.
+    let stacking_styles = StackingStyle::ALL.len();
+    let scenarios = stacking_styles * Corner::ALL.len();
+    for (lane, run) in [("1-thread", &seq), ("4-thread", &par)] {
         assert_eq!(
-            runs, scenarios as u64,
-            "{lane} sweep ran the pseudo-3-D stage {runs} times for {scenarios} scenarios; \
-             per-scenario checkpoints should make them equal"
+            run.pseudo_runs, 1,
+            "{lane} sweep ran the pseudo-3-D stage {} times; the design's one \
+             checkpoint should serve every scenario",
+            run.pseudo_runs
+        );
+        assert_eq!(
+            run.trajectories,
+            (stacking_styles * FREQ_STEPS) as u64,
+            "{lane} sweep ran {} trajectories for {stacking_styles} stacking styles x \
+             {FREQ_STEPS} frequencies",
+            run.trajectories
         );
     }
 
+    let scenarios_per_sec = scenarios as f64 / par.wall_s;
+    let (par, par_pseudo, trajectories) = (par.summary, par.pseudo_runs, par.trajectories);
     let frontier = par.frontier().count();
-    let scenarios_per_sec = scenarios as f64 / par_wall_s;
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"pareto_bench\",");
     let _ = writeln!(
@@ -116,7 +136,9 @@ fn main() {
     );
     let _ = writeln!(json, "  \"deterministic_identity\": {identical},");
     let _ = writeln!(json, "  \"scenarios\": {scenarios},");
+    let _ = writeln!(json, "  \"stacking_styles\": {stacking_styles},");
     let _ = writeln!(json, "  \"pseudo3d_runs\": {par_pseudo},");
+    let _ = writeln!(json, "  \"trajectories\": {trajectories},");
     let _ = writeln!(json, "  \"frontier_points\": {frontier},");
     let _ = writeln!(json, "  \"scenarios_per_sec\": {scenarios_per_sec:.3},");
     let _ = writeln!(json, "  \"points\": [");
@@ -146,10 +168,11 @@ fn main() {
     m3d_bench::emit(&args, "BENCH_pareto.json", &json);
     println!(
         "pareto_bench: {} points bit-identical at 1 and 4 threads | {} scenarios, \
-         {} pseudo-3D runs | {} frontier points | {:.2} scenarios/s",
+         {} pseudo-3D runs, {} trajectories | {} frontier points | {:.2} scenarios/s",
         par.points.len(),
         scenarios,
         par_pseudo,
+        trajectories,
         frontier,
         scenarios_per_sec,
     );

@@ -698,9 +698,10 @@ impl DesignDb {
         self.journal.push(DesignEdit::ReplaceParasitics);
     }
 
-    /// Installs a sign-off timing result.
-    pub fn set_sta(&mut self, sta: StaResult) {
-        self.sta = Some(Arc::new(sta));
+    /// Installs a sign-off timing result, shared: one analysis may sign
+    /// off several corner sets.
+    pub fn set_sta(&mut self, sta: Arc<StaResult>) {
+        self.sta = Some(sta);
         self.journal.push(DesignEdit::ReplaceSta);
     }
 

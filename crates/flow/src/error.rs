@@ -84,7 +84,7 @@ impl fmt::Display for FlowError {
                     "invalid pareto sweep: {freq_steps} steps over \
                      [{freq_min_ghz}, {freq_max_ghz}] GHz (bounds must be \
                      positive and finite with max >= min, steps in 1..={})",
-                    crate::pareto::MAX_PARETO_STEPS
+                    crate::sweep::MAX_PARETO_STEPS
                 )
             }
         }

@@ -63,10 +63,14 @@ impl Implementation {
     }
 
     /// Assembles the read-only view from a finished pipeline state,
-    /// sharing every artifact with the database (no copies).
+    /// sharing every artifact with the database (no copies), under the
+    /// sign-off `sta` of the corner set in `tech`.
     pub(crate) fn from_state(
         state: &FlowState,
         options: &FlowOptions,
+        tech: TechContext,
+        sta: Arc<StaResult>,
+        eco: Option<EcoOutcome>,
     ) -> Result<Implementation, FlowError> {
         fn need<T>(v: Option<T>, what: &'static str) -> Result<T, FlowError> {
             v.ok_or(FlowError::MissingStageOutput {
@@ -77,7 +81,7 @@ impl Implementation {
         let db = state.db();
         Ok(Implementation {
             config: state.config(),
-            tech: options.tech,
+            tech,
             frequency_ghz: 1.0 / state.period_ns(),
             netlist: db.netlist_arc(),
             stack: db.stack_arc(),
@@ -87,10 +91,10 @@ impl Implementation {
             global_placement: need(db.global_placement_arc(), "global placement")?,
             routing: need(db.routing_arc(), "routing")?,
             clock_tree: need(db.clock_tree_arc(), "clock tree")?,
-            sta: need(db.sta_arc(), "sign-off timing")?,
+            sta,
             power: need(db.power_arc(), "sign-off power")?,
             utilization: options.utilization,
-            eco: state.eco.clone(),
+            eco,
             timing_assignment: state.timing_assignment.clone(),
         })
     }

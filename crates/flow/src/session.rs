@@ -8,9 +8,11 @@
 //!   same buffered base snapshot.
 //! * The pseudo-3-D checkpoint is computed **lazily, once**: the first
 //!   3-D command pays for it, every later one (and every concurrent
-//!   caller — the session is `Sync`) forks it in O(1). A session serving
-//!   a design-space sweep runs the pseudo-3-D stage exactly once, which
-//!   is what the serve-layer checkpoint cache is built on.
+//!   caller — the session is `Sync`) forks it in O(1). The checkpoint
+//!   reads no technology option, so single runs, Pareto sweeps and v2
+//!   sweeps in every scenario all fork this one: a session runs the
+//!   pseudo-3-D stage at most once, which is what the serve-layer
+//!   checkpoint cache is built on.
 //! * Results are bit-identical to the standalone entry points at any
 //!   thread count: forking a checkpoint is observationally equal to
 //!   recomputing it (`shared_checkpoints_reproduce_the_standalone_run`).
@@ -21,7 +23,7 @@ use crate::error::FlowError;
 use crate::flow::{fmax_from_base, Implementation};
 use crate::pareto::{pareto_from_base, ParetoSummary};
 use crate::stage::{prepare_base, pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
-use crate::sweep::sweep_from_base;
+use crate::sweep::{sweep_from_base, SweepSpec};
 use crate::wire::{FlowCommand, FlowReport, PpacSummary};
 use m3d_cost::CostModel;
 use m3d_netlist::Netlist;
@@ -200,6 +202,17 @@ impl FlowSession {
         }
     }
 
+    /// The pseudo checkpoint when a well-formed grid holds a 3-D
+    /// configuration. A malformed grid computes nothing: the executor
+    /// rejects it.
+    fn pseudo_for_grid(&self, spec: &SweepSpec) -> Result<Option<&PseudoCheckpoint>, FlowError> {
+        if spec.validate().is_ok() && spec.configs.iter().any(|c| c.is_3d()) {
+            self.pseudo().map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     /// Implements `config` at `frequency_ghz`, forking the session's
     /// checkpoints.
     ///
@@ -256,10 +269,10 @@ impl FlowSession {
     /// Sweeps `config` over stacking style × sign-off corner ×
     /// frequency and returns the power–performance–cost frontier.
     ///
-    /// Scenario runs fork the session's base; the per-scenario pseudo
-    /// checkpoints are computed inside the sweep (one per distinct 3-D
-    /// scenario — they carry scenario-specific fingerprints, so the
-    /// session's own typical-monolithic checkpoint is not reused).
+    /// Every point forks the session's base and, for a 3-D
+    /// configuration, the session's one pseudo-3-D checkpoint: the
+    /// checkpoint reads no technology option, so every scenario shares
+    /// it.
     ///
     /// # Errors
     ///
@@ -273,8 +286,10 @@ impl FlowSession {
         freq_steps: usize,
         cost: &CostModel,
     ) -> Result<ParetoSummary, FlowError> {
+        let spec = SweepSpec::pareto(config, freq_min_ghz, freq_max_ghz, freq_steps);
         pareto_from_base(
             &self.base,
+            self.pseudo_for_grid(&spec)?,
             config,
             freq_min_ghz,
             freq_max_ghz,
@@ -328,7 +343,13 @@ impl FlowSession {
                 Ok(FlowReport::Pareto { summary })
             }
             FlowCommand::Sweep { spec } => {
-                let points = sweep_from_base(&self.base, spec, &self.options, &cost)?;
+                let points = sweep_from_base(
+                    &self.base,
+                    self.pseudo_for_grid(spec)?,
+                    spec,
+                    &self.options,
+                    &cost,
+                )?;
                 Ok(FlowReport::Sweep { points })
             }
         }
@@ -506,6 +527,43 @@ mod tests {
             0,
             "rehydrated pseudo checkpoint must suppress the pseudo-3-D stage"
         );
+    }
+
+    #[test]
+    fn grids_fork_the_session_checkpoint() {
+        let n = Benchmark::Aes.generate(0.01, 31);
+        let cost = CostModel::default();
+        let pseudo_runs = |obs: &m3d_obs::Obs| obs.manifest().counter("flow/pseudo3d_runs");
+
+        // A run and then a sweep in another scenario: one pseudo-3-D build.
+        let obs = m3d_obs::Obs::enabled();
+        let options = FlowOptions {
+            obs: obs.clone(),
+            ..quick_options()
+        };
+        let session = FlowSession::builder(&n)
+            .options(options.clone())
+            .build()
+            .unwrap();
+        session.run(Config::Hetero3d, 1.0).unwrap();
+        session
+            .pareto(Config::Hetero3d, 0.9, 1.1, 2, &cost)
+            .unwrap();
+        assert_eq!(pseudo_runs(&obs), Some(1));
+
+        // Rehydrated with that checkpoint: no build at all.
+        let warm_obs = m3d_obs::Obs::enabled();
+        let warm = FlowSession::from_parts(
+            &n,
+            FlowOptions {
+                obs: warm_obs.clone(),
+                ..options
+            },
+            session.base().clone(),
+            session.pseudo_checkpoint().cloned(),
+        );
+        warm.pareto(Config::Hetero3d, 0.9, 1.1, 2, &cost).unwrap();
+        assert_eq!(pseudo_runs(&warm_obs).unwrap_or(0), 0);
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //!   its own through the [`PseudoThreeD`] stage. The `flow/pseudo3d_runs`
 //!   counter records each computation — the five-way comparison must show
 //!   exactly one.
+//!
+//! One trajectory can also stand in for several standalone runs that
+//! differ only in their sign-off corner set. Corners enter the flow at
+//! [`SignOff`] and at the ECO loop's stop decision, nowhere else: the
+//! stages before sign-off, the ECO moves and the re-finish passes all
+//! read the typical-corner stack. Each corner set rides the trajectory
+//! as an [`Observer`] with its own sign-off, and freezes its own
+//! implementation at the round boundary where its standalone run would
+//! have stopped. [`run_from_base`] is the one-observer case.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
@@ -35,16 +44,16 @@ use m3d_obs::{Obs, Span};
 use m3d_opt::DriveEdit;
 use m3d_partition::{
     bin_min_cut_with_stats, repartition_eco_with, timing_driven_assignment, EcoConfig, EcoOutcome,
-    EcoStop, EcoTimingView, PartitionConfig, TimingAssignment,
+    EcoTimingView, PartitionConfig, TimingAssignment,
 };
 use m3d_place::{global_place, try_legalize_with_stats, Floorplan, LegalStats, Placement};
 use m3d_power::{analyze_power, PowerConfig};
 use m3d_route::{global_route, try_extract_parasitics_with_stats, ExtractStats, RoutingResult};
 use m3d_sta::{
-    analyze, worst_paths, ClockSpec, CornerResults, MultiCornerTimer, Parasitics, StaResult, Timer,
-    TimingContext, TimingEdit,
+    analyze, worst_paths, ClockSpec, MultiCornerTimer, Parasitics, StaResult, Timer, TimingContext,
+    TimingEdit,
 };
-use m3d_tech::{Corner, Library, Tier, TierStack};
+use m3d_tech::{Corner, CornerSet, Library, TechContext, Tier, TierStack};
 use std::sync::Arc;
 
 /// The flow's immutable starting point: the validated, fanout-buffered
@@ -71,19 +80,42 @@ pub struct PseudoCheckpoint {
     pub stack: Arc<TierStack>,
 }
 
+/// A sign-off corner set riding one trajectory: its latest sign-off
+/// and, once its standalone run would have stopped, its finished
+/// implementation.
+pub(crate) struct Observer {
+    corners: CornerSet,
+    /// The latest sign-off at this corner set, written by [`SignOff`].
+    signoff: Option<Arc<StaResult>>,
+    /// The frozen implementation; frozen observers no longer sign off.
+    result: Option<Implementation>,
+}
+
+impl Observer {
+    fn watching(&self) -> bool {
+        self.result.is_none()
+    }
+
+    fn signoff(&self, stage: &'static str) -> Result<&Arc<StaResult>, FlowError> {
+        self.signoff
+            .as_ref()
+            .ok_or(missing(stage, "sign-off timing"))
+    }
+}
+
 /// Mutable pipeline state threaded through the stages of one run.
 ///
 /// Owns the copy-on-write [`DesignDb`] plus the bits of context that are
 /// not design data: the persistent incremental [`Timer`] (reset at each
-/// pass boundary), the pseudo-3-D checkpoint and the per-pass control
-/// flags.
+/// pass boundary), the pseudo-3-D checkpoint, the per-pass control
+/// flags and the corner sets the run signs off at.
 pub struct FlowState {
     pub(crate) config: Config,
     pub(crate) period_ns: f64,
     pub(crate) db: DesignDb,
     pub(crate) pseudo: Option<PseudoCheckpoint>,
     pub(crate) timing_assignment: Option<TimingAssignment>,
-    pub(crate) eco: Option<EcoOutcome>,
+    pub(crate) observers: Vec<Observer>,
     /// Whether the [`Size`] stage should run in the current pass. The
     /// main 3-D finish pass defers sizing to the post-ECO re-finish when
     /// the repartitioning ECO is enabled (move first, size the residue).
@@ -361,6 +393,36 @@ pub fn run_from_base(
     frequency_ghz: f64,
     options: &FlowOptions,
 ) -> Result<Implementation, FlowError> {
+    let mut imps = run_observed(
+        base,
+        pseudo,
+        config,
+        frequency_ghz,
+        options,
+        &[options.tech.corners],
+    )?;
+    Ok(imps.pop().expect("one implementation per observer"))
+}
+
+/// Implements `config` at `frequency_ghz` once and signs the trajectory
+/// off at every corner set in `observers`, returning one implementation
+/// per observer, in order. Each is bit-identical to a standalone
+/// [`run_from_base`] whose options carry that corner set: the
+/// trajectory takes its stacking style from `options.tech` and ignores
+/// `options.tech.corners`.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidFrequency`] for a non-positive or
+/// non-finite target and propagates any stage failure.
+pub(crate) fn run_observed(
+    base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
+    config: Config,
+    frequency_ghz: f64,
+    options: &FlowOptions,
+    observers: &[CornerSet],
+) -> Result<Vec<Implementation>, FlowError> {
     if !frequency_ghz.is_finite() || frequency_ghz <= 0.0 {
         return Err(FlowError::InvalidFrequency { frequency_ghz });
     }
@@ -385,7 +447,14 @@ pub fn run_from_base(
         .with_tech(options.tech),
         pseudo: pseudo.cloned(),
         timing_assignment: None,
-        eco: None,
+        observers: observers
+            .iter()
+            .map(|&corners| Observer {
+                corners,
+                signoff: None,
+                result: None,
+            })
+            .collect(),
         reoptimize: true,
         sizing_changed: 0,
         timer: Timer::new(),
@@ -396,7 +465,37 @@ pub fn run_from_base(
         run_2d(&mut state, options, &run_span)?;
     }
     drop(run_span);
-    Implementation::from_state(&state, options)
+    // Observers the ECO loop did not freeze sign off where the pipeline
+    // ended.
+    for i in 0..state.observers.len() {
+        if state.observers[i].watching() {
+            freeze(&mut state, options, i, None)?;
+        }
+    }
+    Ok(state
+        .observers
+        .into_iter()
+        .map(|o| o.result.expect("every observer is frozen"))
+        .collect())
+}
+
+/// Freezes observer `i`'s implementation: the database's current
+/// artifacts with the observer's own sign-off and ECO outcome.
+fn freeze(
+    state: &mut FlowState,
+    options: &FlowOptions,
+    i: usize,
+    eco: Option<EcoOutcome>,
+) -> Result<(), FlowError> {
+    let observer = &state.observers[i];
+    let sta = observer.signoff("assemble")?.clone();
+    let tech = TechContext {
+        stacking: options.tech.stacking,
+        corners: observer.corners,
+    };
+    let imp = Implementation::from_state(state, options, tech, sta, eco)?;
+    state.observers[i].result = Some(imp);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -474,27 +573,29 @@ fn run_2d(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Resu
     }
 }
 
+/// Rounds of the repartitioning ECO outer loop.
+const ECO_ROUNDS: usize = 3;
+
 /// Repartitioning ECO outer loop: after each ECO round the design is
 /// incrementally re-finished (routing, CTS, sizing), which can expose new
 /// critical paths through the slow tier; repeat until timing is met or
 /// the ECO stops moving cells.
+///
+/// The rounds themselves read only typical-corner timing, so they are
+/// run once for every observer. At each round boundary, each observer
+/// whose standalone run would stop there (no cells moved, its own
+/// sign-off met, or the last round) freezes its implementation and its
+/// own [`EcoOutcome`]; the loop ends when no observer is left watching.
 fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Result<(), FlowError> {
     let obs = &options.obs;
     let eco_span = run_span.child("eco");
-    let initial = state
-        .db
-        .sta_arc()
-        .ok_or(missing("eco", "sign-off timing"))?;
-    let mut total = EcoOutcome {
-        iterations: 0,
-        cells_moved: 0,
-        rounds_undone: 0,
-        initial_wns: initial.wns,
-        final_wns: initial.wns,
-        final_tns: initial.tns,
-        stop_reason: EcoStop::Converged,
-    };
-    for _outer in 0..3 {
+    let initial_wns = state
+        .observers
+        .iter()
+        .map(|o| o.signoff("eco").map(|s| s.wns))
+        .collect::<Result<Vec<f64>, FlowError>>()?;
+    let (mut iterations, mut cells_moved, mut rounds_undone) = (0, 0, 0);
+    for round in 1..=ECO_ROUNDS {
         let round_span = eco_span.child("round");
         let netlist = state.db.netlist_arc();
         let stack = state.db.stack_arc();
@@ -550,26 +651,36 @@ fn run_eco(state: &mut FlowState, options: &FlowOptions, run_span: &Span) -> Res
         if obs.is_enabled() && !journal.is_empty() {
             obs.counter_add("db/journal/eco", journal.len() as u64);
         }
-        total.iterations += outcome.iterations;
-        total.cells_moved += outcome.cells_moved;
-        total.rounds_undone += outcome.rounds_undone;
-        total.stop_reason = outcome.stop_reason;
+        iterations += outcome.iterations;
+        cells_moved += outcome.cells_moved;
+        rounds_undone += outcome.rounds_undone;
         let moved = outcome.cells_moved;
         if moved > 0 {
             refinish(state, options, &round_span)?;
         }
-        let sta = state
-            .db
-            .sta_arc()
-            .ok_or(missing("eco", "sign-off timing"))?;
-        total.final_wns = sta.wns;
-        total.final_tns = sta.tns;
         drop(round_span);
-        if moved == 0 || sta.timing_met(options.wns_tolerance) {
+        for (i, &initial_wns) in initial_wns.iter().enumerate() {
+            if !state.observers[i].watching() {
+                continue;
+            }
+            let sta = state.observers[i].signoff("eco")?.clone();
+            if moved == 0 || round == ECO_ROUNDS || sta.timing_met(options.wns_tolerance) {
+                let eco = EcoOutcome {
+                    iterations,
+                    cells_moved,
+                    rounds_undone,
+                    initial_wns,
+                    final_wns: sta.wns,
+                    final_tns: sta.tns,
+                    stop_reason: outcome.stop_reason,
+                };
+                freeze(state, options, i, Some(eco))?;
+            }
+        }
+        if !state.observers.iter().any(Observer::watching) {
             break;
         }
     }
-    state.eco = Some(total);
     Ok(())
 }
 
@@ -1013,7 +1124,10 @@ impl Stage for Size {
     }
 }
 
-/// Sign-off STA and power from the database's current artifacts.
+/// Sign-off STA and power from the database's current artifacts. The
+/// typical-corner analysis and power run once; every still-watching
+/// observer then gets its own worst-corner sign-off, and the database
+/// carries the first one's.
 pub struct SignOff;
 
 impl Stage for SignOff {
@@ -1038,30 +1152,30 @@ impl Stage for SignOff {
             .db
             .clock_tree_arc()
             .ok_or(missing("sta_signoff", "clock tree"))?;
-        let sta = state.timer.update_journaled(
-            &timing_context(
-                &netlist,
-                &stack,
-                &tiers,
-                &parasitics,
-                clock_spec(state.period_ns, Some(&clock_tree)),
-            ),
+        let clock = clock_spec(state.period_ns, Some(&clock_tree));
+        let typical = Arc::new(state.timer.update_journaled(
+            &timing_context(&netlist, &stack, &tiers, &parasitics, clock.clone()),
             &[],
-        );
+        ));
         record_timer(&options.obs, &state.timer);
-        let sta = if options.tech.corners.is_typical_only() {
-            sta
-        } else {
-            worst_corner_sta(
-                state,
+        for observer in state.observers.iter_mut().filter(|o| o.watching()) {
+            observer.signoff = Some(worst_corner_sta(
+                state.config,
                 options,
-                sta,
+                observer.corners,
+                &typical,
                 &netlist,
                 &tiers,
                 &parasitics,
-                &clock_tree,
-            )
-        };
+                &clock,
+            ));
+        }
+        let sta = state
+            .observers
+            .iter()
+            .find(|o| o.watching())
+            .and_then(|o| o.signoff.clone())
+            .ok_or(missing("sta_signoff", "a watching corner set"))?;
         let power = analyze_power(
             &netlist,
             &stack,
@@ -1080,14 +1194,14 @@ impl Stage for SignOff {
     }
 }
 
-/// Re-analyzes the signed-off artifacts at every corner of the
-/// configured set and returns the worst (minimum-WNS) result.
+/// Re-analyzes the signed-off artifacts at every corner of `corners`
+/// and returns the worst (minimum-WNS) result.
 ///
 /// Each extra corner gets its own derated stack ([`Config::stack_at`])
 /// with the scenario's stacking style applied; the netlist, tier
 /// assignment, parasitics and clock tree are shared — a process corner
 /// moves cell timing, not wires. The typical result computed by the
-/// flow's incremental timer is reused verbatim, so the default
+/// flow's incremental timer is shared verbatim, so the default
 /// scenario's numbers are untouched; the extra corners run on a fresh
 /// [`MultiCornerTimer`], whose first update is bit-identical to a cold
 /// analysis at any thread count. Power sign-off stays at the typical
@@ -1095,33 +1209,28 @@ impl Stage for SignOff {
 /// and only the timing sign-off is corner-dependent.
 #[allow(clippy::too_many_arguments)]
 fn worst_corner_sta(
-    state: &FlowState,
+    config: Config,
     options: &FlowOptions,
-    typical: StaResult,
+    corners: CornerSet,
+    typical: &Arc<StaResult>,
     netlist: &Netlist,
     tiers: &[Tier],
     parasitics: &Parasitics,
-    clock_tree: &ClockTree,
-) -> StaResult {
-    let corners = options.tech.corners.corners();
+    clock: &ClockSpec,
+) -> Arc<StaResult> {
+    if corners.is_typical_only() {
+        return Arc::clone(typical);
+    }
     let extra: Vec<Corner> = corners
+        .corners()
         .iter()
         .copied()
         .filter(|&c| c != Corner::Typical)
         .collect();
     let stacks: Vec<(Corner, TierStack)> = extra
         .iter()
-        .map(|&c| {
-            (
-                c,
-                state
-                    .config
-                    .stack_at(c)
-                    .with_stacking(options.tech.stacking),
-            )
-        })
+        .map(|&c| (c, config.stack_at(c).with_stacking(options.tech.stacking)))
         .collect();
-    let clock = clock_spec(state.period_ns, Some(clock_tree));
     let ctxs: Vec<(Corner, TimingContext)> = stacks
         .iter()
         .map(|(c, stack)| {
@@ -1131,22 +1240,29 @@ fn worst_corner_sta(
             )
         })
         .collect();
-    let mut timers = MultiCornerTimer::new(&extra);
-    let analyzed = timers.update_journaled(&ctxs, &[]);
+    let mut analyzed = MultiCornerTimer::new(&extra)
+        .update_journaled(&ctxs, &[])
+        .into_iter();
     options
         .obs
         .counter_add("sta/corner_analyses", extra.len() as u64);
-    let mut results = Vec::with_capacity(corners.len());
-    for &corner in corners {
-        if corner == Corner::Typical {
-            results.push((corner, typical.clone()));
+    // The `CornerResults::worst` rule: minimum WNS, ties to the earlier
+    // corner in sign-off order.
+    let mut worst: Option<Arc<StaResult>> = None;
+    for &corner in corners.corners() {
+        let r = if corner == Corner::Typical {
+            Arc::clone(typical)
         } else {
-            let r = analyzed
-                .get(corner)
-                .expect("every non-typical corner was analyzed")
-                .clone();
-            results.push((corner, r));
+            Arc::new(
+                analyzed
+                    .next()
+                    .expect("every non-typical corner was analyzed")
+                    .1,
+            )
+        };
+        if worst.as_ref().is_none_or(|w| r.wns < w.wns) {
+            worst = Some(r);
         }
     }
-    CornerResults::new(results).into_worst().1
+    worst.expect("a corner set is never empty")
 }

@@ -1,33 +1,45 @@
-//! The protocol-v2 design-space sweep: configurations × stacking styles
-//! × sign-off corners × a frequency grid, executed as independent
-//! single-shot points.
+//! The design-space grid — configurations × stacking styles × sign-off
+//! corners × a frequency grid — and the one executor every grid runs
+//! through.
 //!
 //! A [`SweepSpec`] is the wire description of a grid a client wants
 //! explored. Its defining property is that the grid **decomposes**: every
 //! point is exactly equivalent to one v1 `run_flow` request whose options
-//! carry the point's technology scenario (the same folding the Pareto
-//! sweep performs internally). The flow service exploits that to fan a
-//! sweep out across its worker pool as individually schedulable jobs —
-//! each point hitting the shared checkpoint cache under its scenario's
-//! cache key — and [`sweep_from_base`] is the in-process mirror used by
-//! [`crate::FlowSession::execute`], bit-identical to running the
-//! decomposed points one by one.
+//! carry the point's technology scenario. The flow service exploits that
+//! to fan a v2 sweep out across its worker pool as individually
+//! schedulable jobs; in-process, [`sweep_from_base`] and
+//! [`crate::pareto_from_base`] both run their grid through
+//! [`run_grid`], bit-identical to running the decomposed points one by
+//! one.
 //!
-//! Point order is deterministic and scenario-major: stacking styles in
-//! spec order, corners within a style, configurations within a corner,
-//! the frequency grid ascending innermost. One pseudo-3-D checkpoint is
-//! computed per distinct scenario (never per point), so
-//! `flow/pseudo3d_runs` equals the number of scenarios whenever the
-//! config axis contains a 3-D configuration.
+//! [`run_grid`] shares everything a point does not depend on:
+//!
+//! * **One pseudo-3-D checkpoint per design.** The pseudo-3-D stage reads
+//!   only the netlist, `utilization` and the placer options, so every
+//!   3-D point forks the caller's one checkpoint.
+//! * **One trajectory per (stacking, configuration, frequency).** A
+//!   corner changes only the sign-off and the ECO loop's stop decision,
+//!   so each trajectory is implemented once with every corner of the
+//!   grid riding along as an observer, each with its own sign-off and
+//!   its own ECO tail.
+//!
+//! The `flow/trajectories` counter records the trajectory count
+//! (`stacking × configs × steps`). Point order is deterministic:
+//! stacking styles in spec order, corners within a style, configurations
+//! within a corner, the frequency grid ascending innermost.
 
 use crate::config::{Config, FlowOptions};
 use crate::error::FlowError;
-use crate::pareto::{frequency_grid, MAX_PARETO_STEPS};
-use crate::stage::{pseudo_checkpoint, run_from_base, BaseDesign, PseudoCheckpoint};
+use crate::flow::Implementation;
+use crate::stage::{run_observed, BaseDesign, PseudoCheckpoint};
 use crate::wire::PpacSummary;
 use m3d_cost::CostModel;
 use m3d_json::DecodeError;
 use m3d_tech::{Corner, CornerSet, StackingStyle, TechContext};
+
+/// Largest accepted frequency-grid size. A cap keeps a single malformed
+/// request from occupying the worker pool indefinitely.
+pub const MAX_PARETO_STEPS: usize = 64;
 
 /// Largest accepted sweep size in grid points. A sweep fans out one full
 /// implementation per point; the cap keeps a single request from
@@ -88,23 +100,37 @@ fn has_duplicates<T: PartialEq>(items: &[T]) -> bool {
 }
 
 impl SweepSpec {
-    /// The distinct technology scenarios the sweep visits, in point
-    /// order: stacking styles outer, corners inner.
+    /// The Pareto grid of one configuration: every stacking style for a
+    /// 3-D configuration, monolithic only for 2-D (a 2-D die has no
+    /// inter-tier interface, so the styles would produce identical
+    /// points), each signed off at every corner.
     #[must_use]
-    pub fn scenarios(&self) -> Vec<(StackingStyle, Corner)> {
-        let mut out = Vec::with_capacity(self.stacking.len() * self.corners.len());
-        for &style in &self.stacking {
-            for &corner in &self.corners {
-                out.push((style, corner));
-            }
+    pub fn pareto(config: Config, freq_min_ghz: f64, freq_max_ghz: f64, freq_steps: usize) -> Self {
+        SweepSpec {
+            configs: vec![config],
+            stacking: if config.is_3d() {
+                StackingStyle::ALL.to_vec()
+            } else {
+                vec![StackingStyle::Monolithic]
+            },
+            corners: Corner::ALL.to_vec(),
+            freq_min_ghz,
+            freq_max_ghz,
+            freq_steps,
         }
-        out
     }
 
-    /// The shared frequency grid, ascending.
+    /// The evenly spaced frequency grid, ascending and endpoint
+    /// inclusive. One step collapses to the lower bound.
     #[must_use]
     pub fn frequencies(&self) -> Vec<f64> {
-        frequency_grid(self.freq_min_ghz, self.freq_max_ghz, self.freq_steps)
+        let (lo, hi, steps) = (self.freq_min_ghz, self.freq_max_ghz, self.freq_steps);
+        if steps == 1 {
+            return vec![lo];
+        }
+        (0..steps)
+            .map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64)
+            .collect()
     }
 
     /// Total number of grid points.
@@ -196,28 +222,33 @@ impl SweepSpec {
     }
 }
 
-/// Executes a whole sweep off an already-prepared base and returns one
-/// PPAC roll-up per grid point, in point order.
+/// Runs every point of `spec` off `base` and returns
+/// `roll_up(point, implementation)` per point, in point order.
 ///
-/// Structure mirrors [`crate::pareto_from_base`]: each scenario forks the
-/// caller's options under a `sweep/<scenario>` telemetry scope with its
-/// own [`TechContext`], the per-scenario pseudo-3-D checkpoints are
-/// computed concurrently (only when the config axis contains a 3-D
-/// configuration), and all points fan out through
-/// [`m3d_par::par_invoke`], whose input-order results make the point list
-/// bit-identical at any thread count — and bit-identical to executing the
-/// decomposed v1 single-shot requests one by one.
+/// Each `(stacking, configuration, frequency)` triple is one trajectory
+/// under a `<label>/<config>-<style>-f<k>` telemetry scope, observed at
+/// every corner of the grid; 3-D trajectories fork `pseudo` (or build
+/// their own when it is `None`). Trajectories fan out through
+/// [`m3d_par::par_invoke`], whose input-order results make the point
+/// list bit-identical at any thread count, and each point is
+/// bit-identical to a standalone run with that point's options.
 ///
 /// # Errors
 ///
 /// Returns [`FlowError::InvalidSweep`] for a malformed grid and
-/// propagates the first failure of any checkpoint or point run.
-pub fn sweep_from_base(
+/// propagates the first failing trajectory's error.
+pub fn run_grid<T, R>(
     base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
     spec: &SweepSpec,
     options: &FlowOptions,
-    cost: &CostModel,
-) -> Result<Vec<PpacSummary>, FlowError> {
+    label: &str,
+    roll_up: R,
+) -> Result<Vec<T>, FlowError>
+where
+    T: Send,
+    R: Fn(&SweepPoint, &Implementation) -> T + Sync,
+{
     if spec.validate().is_err() {
         return Err(FlowError::InvalidSweep {
             freq_min_ghz: spec.freq_min_ghz,
@@ -225,65 +256,80 @@ pub fn sweep_from_base(
             freq_steps: spec.freq_steps,
         });
     }
-    let obs = &options.obs;
-    let sweep_span = obs.span("sweep");
-    let scenarios = spec.scenarios();
-    let scenario_options: Vec<FlowOptions> = scenarios
-        .iter()
-        .map(|&(style, corner)| {
-            let mut o = options.fork_for(&format!("sweep/{style}-{corner}"));
-            o.tech = TechContext {
-                stacking: style,
-                corners: CornerSet::single(corner),
-            };
-            o
-        })
-        .collect();
-
-    // One pseudo-3-D checkpoint per scenario, computed concurrently —
-    // the same cache-pairing discipline as the Pareto sweep: checkpoints
-    // belong to the scenario options that minted them.
-    let needs_pseudo = spec.configs.iter().any(|c| c.is_3d());
-    let pseudos: Vec<Option<PseudoCheckpoint>> = if needs_pseudo {
-        let computed = m3d_par::par_invoke(
-            options.threads,
-            scenario_options
-                .iter()
-                .map(|o| move || pseudo_checkpoint(base, o))
-                .collect(),
-        );
-        let mut out = Vec::with_capacity(computed.len());
-        for c in computed {
-            out.push(Some(c?));
-        }
-        out
-    } else {
-        vec![None; scenarios.len()]
-    };
-
+    let _span = options.obs.span(label);
+    let points = spec.points();
     let freqs = spec.frequencies();
-    let mut jobs = Vec::with_capacity(spec.point_count());
-    for (scenario_options, pseudo) in scenario_options.iter().zip(&pseudos) {
-        for &config in &spec.configs {
-            let pseudo = if config.is_3d() {
-                pseudo.as_ref()
-            } else {
-                None
-            };
-            for &f in &freqs {
-                jobs.push(move || run_from_base(base, pseudo, config, f, scenario_options));
+    let observers: Vec<CornerSet> = spec.corners.iter().map(|&c| CornerSet::single(c)).collect();
+    let (n_corners, n_configs, n_freqs) = (spec.corners.len(), spec.configs.len(), freqs.len());
+    // Trajectory `(s, g, k)` observed at corner `c` is point
+    // `((s·corners + c)·configs + g)·steps + k`.
+    let point_of = |(s, g, k): (usize, usize, usize), c: usize| {
+        ((s * n_corners + c) * n_configs + g) * n_freqs + k
+    };
+    let mut trajectories = Vec::with_capacity(spec.stacking.len() * n_configs * n_freqs);
+    for s in 0..spec.stacking.len() {
+        for g in 0..n_configs {
+            for k in 0..n_freqs {
+                trajectories.push((s, g, k));
             }
         }
     }
-    let results = m3d_par::par_invoke(options.threads, jobs);
-
-    let mut points = Vec::with_capacity(results.len());
-    for result in results {
-        let imp = result?;
-        points.push(PpacSummary::from(&imp.ppac(cost)));
+    let jobs: Vec<_> = trajectories
+        .iter()
+        .map(|&(s, g, k)| {
+            let (stacking, config) = (spec.stacking[s], spec.configs[g]);
+            let mut o = options.fork_for(&format!("{label}/{config:?}-{stacking}-f{k}"));
+            o.tech.stacking = stacking;
+            let pseudo = if config.is_3d() { pseudo } else { None };
+            let (f, observers, points, roll_up) = (freqs[k], &observers, &points, &roll_up);
+            move || -> Result<Vec<T>, FlowError> {
+                let imps = run_observed(base, pseudo, config, f, &o, observers)?;
+                Ok(imps
+                    .iter()
+                    .enumerate()
+                    .map(|(c, imp)| roll_up(&points[point_of((s, g, k), c)], imp))
+                    .collect())
+            }
+        })
+        .collect();
+    options
+        .obs
+        .counter_add("flow/trajectories", trajectories.len() as u64);
+    let mut out: Vec<Option<T>> = points.iter().map(|_| None).collect();
+    for (&t, result) in trajectories
+        .iter()
+        .zip(m3d_par::par_invoke(options.threads, jobs))
+    {
+        for (c, value) in result?.into_iter().enumerate() {
+            out[point_of(t, c)] = Some(value);
+        }
     }
-    obs.counter_add("sweep/points", points.len() as u64);
-    drop(sweep_span);
+    Ok(out
+        .into_iter()
+        .map(|v| v.expect("every point lies on one trajectory"))
+        .collect())
+}
+
+/// Executes a whole sweep off an already-prepared base (and, when the
+/// grid holds a 3-D configuration, its pseudo-3-D checkpoint) and
+/// returns one PPAC roll-up per grid point, in point order — each
+/// bit-identical to executing the decomposed v1 single-shot request.
+///
+/// # Errors
+///
+/// Returns [`FlowError::InvalidSweep`] for a malformed grid and
+/// propagates the first failure of any trajectory.
+pub fn sweep_from_base(
+    base: &BaseDesign,
+    pseudo: Option<&PseudoCheckpoint>,
+    spec: &SweepSpec,
+    options: &FlowOptions,
+    cost: &CostModel,
+) -> Result<Vec<PpacSummary>, FlowError> {
+    let points = run_grid(base, pseudo, spec, options, "sweep", |_, imp| {
+        PpacSummary::from(&imp.ppac(cost))
+    })?;
+    options.obs.counter_add("sweep/points", points.len() as u64);
     Ok(points)
 }
 
@@ -320,8 +366,13 @@ mod tests {
         assert_eq!(points[2].frequency_ghz, 1.2);
         assert_eq!(points[3].config, Config::TwoD12T);
         // Scenario order is stacking-outer, corners inner.
+        let scenarios: Vec<(StackingStyle, Corner)> = points
+            .iter()
+            .step_by(6)
+            .map(|p| (p.stacking, p.corner))
+            .collect();
         assert_eq!(
-            s.scenarios(),
+            scenarios,
             vec![
                 (StackingStyle::Monolithic, Corner::Typical),
                 (StackingStyle::Monolithic, Corner::Slow),
@@ -378,5 +429,64 @@ mod tests {
             ..oversized
         };
         assert!(trimmed.validate().is_ok());
+    }
+
+    #[test]
+    fn two_d_configs_sweep_only_the_monolithic_style() {
+        let s2 = SweepSpec::pareto(Config::TwoD12T, 0.8, 1.2, 2);
+        assert_eq!(s2.corners, Corner::ALL);
+        assert_eq!(s2.stacking, [StackingStyle::Monolithic]);
+        let s3 = SweepSpec::pareto(Config::Hetero3d, 0.8, 1.2, 2);
+        assert_eq!(
+            s3.stacking.len() * s3.corners.len(),
+            StackingStyle::ALL.len() * Corner::ALL.len()
+        );
+    }
+
+    #[test]
+    fn frequency_grid_is_even_and_inclusive() {
+        let grid = |steps| SweepSpec::pareto(Config::Hetero3d, 0.8, 1.2, steps).frequencies();
+        assert_eq!(grid(1), vec![0.8]);
+        let g = grid(5);
+        assert_eq!(g.len(), 5);
+        assert_eq!(g[0], 0.8);
+        assert_eq!(g[4], 1.2);
+        assert!(g.windows(2).all(|w| w[1] > w[0]));
+    }
+
+    #[test]
+    fn malformed_sweeps_are_rejected() {
+        // Rejection happens before any work, so an empty base suffices.
+        let base = BaseDesign {
+            netlist: std::sync::Arc::new(m3d_netlist::Netlist::new("empty")),
+        };
+        let bad = [
+            (0.0, 1.0, 4),
+            (-1.0, 1.0, 4),
+            (f64::NAN, 1.0, 4),
+            (1.0, f64::INFINITY, 4),
+            (1.2, 0.8, 4),
+            (0.8, 1.2, 0),
+            (0.8, 1.2, MAX_PARETO_STEPS + 1),
+        ];
+        for (lo, hi, steps) in bad {
+            let spec = SweepSpec::pareto(Config::Hetero3d, lo, hi, steps);
+            assert!(
+                matches!(
+                    sweep_from_base(
+                        &base,
+                        None,
+                        &spec,
+                        &FlowOptions::default(),
+                        &CostModel::default()
+                    ),
+                    Err(FlowError::InvalidSweep { .. })
+                ),
+                "({lo}, {hi}, {steps}) must be rejected"
+            );
+        }
+        assert!(SweepSpec::pareto(Config::Hetero3d, 1.0, 1.0, 1)
+            .validate()
+            .is_ok());
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::compare::Comparison;
 use crate::config::{Config, FlowOptions};
-use crate::pareto::{ParetoPoint, ParetoSummary, MAX_PARETO_STEPS};
+use crate::pareto::{ParetoPoint, ParetoSummary};
 use crate::ppac::{DeltaRow, Ppac};
 use crate::sweep::SweepSpec;
 use m3d_json::borrow;
@@ -377,7 +377,7 @@ pub enum FlowCommand {
         freq_min_ghz: f64,
         /// Upper frequency bound, GHz.
         freq_max_ghz: f64,
-        /// Grid size (1..=[`MAX_PARETO_STEPS`], endpoints inclusive).
+        /// Grid size (1..=[`crate::MAX_PARETO_STEPS`], endpoints inclusive).
         freq_steps: usize,
     },
     /// Sweep a design-space grid (protocol v2): the cross product of
@@ -400,29 +400,11 @@ impl FlowCommand {
     pub fn validate(&self) -> Result<(), DecodeError> {
         match self {
             FlowCommand::Pareto {
+                config,
                 freq_min_ghz,
                 freq_max_ghz,
                 freq_steps,
-                ..
-            } => {
-                let bounds_ok = freq_min_ghz.is_finite()
-                    && freq_max_ghz.is_finite()
-                    && *freq_min_ghz > 0.0
-                    && freq_max_ghz >= freq_min_ghz;
-                if !bounds_ok {
-                    return Err(DecodeError::new(
-                        "command/freq_min_ghz",
-                        "positive finite bounds with freq_max_ghz >= freq_min_ghz",
-                    ));
-                }
-                if !(1..=MAX_PARETO_STEPS).contains(freq_steps) {
-                    return Err(DecodeError::new(
-                        "command/freq_steps",
-                        format!("an integer in 1..={MAX_PARETO_STEPS}"),
-                    ));
-                }
-                Ok(())
-            }
+            } => SweepSpec::pareto(*config, *freq_min_ghz, *freq_max_ghz, *freq_steps).validate(),
             FlowCommand::Sweep { spec } => spec.validate(),
             _ => Ok(()),
         }

@@ -87,6 +87,16 @@ impl CornerResults {
     }
 }
 
+impl IntoIterator for CornerResults {
+    type Item = (Corner, StaResult);
+    type IntoIter = std::vec::IntoIter<(Corner, StaResult)>;
+
+    /// Consumes the set, yielding `(corner, result)` in analysis order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.results.into_iter()
+    }
+}
+
 /// One persistent incremental [`Timer`] per corner.
 pub struct MultiCornerTimer {
     timers: Vec<(Corner, Timer)>,

@@ -14,11 +14,17 @@
 //!   sweep are bit-identical at any thread count, like every other
 //!   output of the flow.
 //! * **Checkpoint economics** — a Pareto sweep runs the pseudo-3-D
-//!   stage exactly once per distinct 3-D scenario, regardless of the
-//!   frequency-grid size.
+//!   stage once per design and one implementation trajectory per
+//!   stacking style × frequency, regardless of the corner count.
+//! * **Sharing is invisible** — every point of a grouped grid, whose
+//!   corners share one trajectory, equals the standalone run with that
+//!   point's options bit for bit, ECO outcome included.
 
 use hetero3d::cost::CostModel;
-use hetero3d::flow::{try_run_flow, Config, FlowOptions, FlowSession, Implementation};
+use hetero3d::flow::{
+    pseudo_checkpoint, run_grid, try_run_flow, Config, FlowCommand, FlowOptions, FlowReport,
+    FlowSession, Implementation, PpacSummary, SweepPoint, SweepSpec,
+};
 use hetero3d::netgen::Benchmark;
 use hetero3d::netlist::Netlist;
 use hetero3d::obs::Obs;
@@ -213,13 +219,18 @@ fn pareto_sweep_is_bit_identical_across_thread_counts() {
     }
 }
 
+fn trajectories(obs: &Obs) -> u64 {
+    obs.manifest().counter("flow/trajectories").unwrap_or(0)
+}
+
 #[test]
 fn pareto_reuses_one_pseudo_checkpoint_per_scenario() {
     let netlist = Benchmark::Aes.generate(0.01, 7);
     let cost = CostModel::default();
 
     // 3-D: both stacking styles × all corners, three frequency rungs —
-    // yet exactly one pseudo-3-D run per scenario.
+    // yet one pseudo-3-D run for the design, and one trajectory per
+    // stacking style × frequency shared by all corners.
     let session = pareto_session(&netlist, 0);
     let summary = session
         .pareto(Config::Hetero3d, 0.9, 1.1, 3, &cost)
@@ -228,8 +239,13 @@ fn pareto_reuses_one_pseudo_checkpoint_per_scenario() {
     assert_eq!(summary.points.len() as u64, scenarios * 3);
     assert_eq!(
         pseudo3d_runs(&session.options().obs),
-        scenarios,
-        "pseudo-3-D stage must run once per scenario, never per grid point"
+        1,
+        "pseudo-3-D stage must run once per design, never per scenario or grid point"
+    );
+    assert_eq!(
+        trajectories(&session.options().obs),
+        StackingStyle::ALL.len() as u64 * 3,
+        "one trajectory per stacking style x frequency"
     );
     assert!(summary.frontier().count() >= 1, "non-empty frontier");
 
@@ -248,4 +264,139 @@ fn pareto_reuses_one_pseudo_checkpoint_per_scenario() {
         0,
         "a 2-D sweep has no pseudo-3-D stage"
     );
+    assert_eq!(trajectories(&session2d.options().obs), 2);
+}
+
+/// What a grid point must reproduce bit for bit: the PPAC roll-up and
+/// the full ECO outcome, as their round-tripping `Debug` renderings.
+fn point_bits(imp: &Implementation) -> (PpacSummary, String) {
+    let ppac = PpacSummary::from(&imp.ppac(&CostModel::default()));
+    let bits = format!("{ppac:?} {:?}", imp.eco);
+    (ppac, bits)
+}
+
+/// The standalone run with `point`'s options.
+fn standalone(netlist: &Netlist, point: &SweepPoint, threads: usize) -> (PpacSummary, String) {
+    let imp = try_run_flow(
+        netlist,
+        point.config,
+        point.frequency_ghz,
+        &quick_options(threads, point.tech()),
+    )
+    .expect("standalone flow");
+    point_bits(&imp)
+}
+
+#[test]
+fn grouped_grid_points_equal_standalone_runs_bit_for_bit() {
+    // At 2 GHz this design's slow corner keeps the ECO loop going after
+    // typical and fast have stopped, so one trajectory freezes its
+    // corners at different rounds.
+    let netlist = Benchmark::Aes.generate(0.015, 5);
+    let cost = CostModel::default();
+    let pareto = SweepSpec::pareto(Config::Hetero3d, 1.8, 2.0, 2);
+    let sweep = SweepSpec {
+        configs: vec![Config::Hetero3d, Config::ThreeD9T, Config::TwoD12T],
+        stacking: StackingStyle::ALL.to_vec(),
+        corners: Corner::ALL.to_vec(),
+        freq_min_ghz: 2.0,
+        freq_max_ghz: 2.0,
+        freq_steps: 1,
+    };
+    for threads in [1usize, 4] {
+        let options = quick_options(threads, TechContext::default());
+        let session = FlowSession::builder(&netlist)
+            .options(options.clone())
+            .build()
+            .expect("session");
+        let pseudo = pseudo_checkpoint(session.base(), &options).expect("pseudo-3-D");
+        for spec in [&pareto, &sweep] {
+            let grouped = run_grid(
+                session.base(),
+                Some(&pseudo),
+                spec,
+                &options,
+                "grid",
+                |p, imp| {
+                    (
+                        *p,
+                        point_bits(imp).1,
+                        imp.eco.as_ref().map(|e| e.iterations),
+                    )
+                },
+            )
+            .expect("grouped grid");
+            assert_eq!(grouped.len(), spec.point_count());
+            let mut singles = Vec::with_capacity(grouped.len());
+            for (point, bits, _) in &grouped {
+                let (ppac, single) = standalone(&netlist, point, threads);
+                assert_eq!(
+                    bits, &single,
+                    "{point:?} at threads={threads} diverged from its standalone run"
+                );
+                singles.push(ppac);
+            }
+            // Not vacuous: two corners of one trajectory stopped the ECO
+            // loop at different rounds (their ECO iteration counts are
+            // prefix sums over the rounds each one watched).
+            let split = grouped.iter().any(|(a, _, ea)| {
+                grouped.iter().any(|(b, _, eb)| {
+                    (a.config, a.stacking, a.frequency_ghz.to_bits())
+                        == (b.config, b.stacking, b.frequency_ghz.to_bits())
+                        && ea.is_some()
+                        && ea != eb
+                })
+            });
+            assert!(
+                split,
+                "no trajectory froze its corners at different ECO rounds"
+            );
+
+            // The public commands run the same executor.
+            if spec == &pareto {
+                let summary = session
+                    .pareto(Config::Hetero3d, 1.8, 2.0, 2, &cost)
+                    .expect("pareto");
+                for (p, s) in summary.points.iter().zip(&singles) {
+                    let point = [
+                        p.frequency_ghz,
+                        p.total_power_mw,
+                        p.effective_delay_ns,
+                        p.die_cost_uc,
+                        p.pdp_pj,
+                        p.ppc,
+                        p.wns_ns,
+                    ];
+                    let single = [
+                        s.frequency_ghz,
+                        s.total_power_mw,
+                        s.effective_delay_ns,
+                        s.die_cost_uc,
+                        s.pdp_pj,
+                        s.ppc,
+                        s.wns_ns,
+                    ];
+                    assert_eq!(
+                        point.map(f64::to_bits),
+                        single.map(f64::to_bits),
+                        "pareto point {p:?} at threads={threads}"
+                    );
+                }
+            } else {
+                let FlowReport::Sweep { points } = session
+                    .execute(&FlowCommand::Sweep {
+                        spec: sweep.clone(),
+                    })
+                    .expect("sweep")
+                else {
+                    panic!("expected a sweep report")
+                };
+                assert_eq!(
+                    format!("{points:?}"),
+                    format!("{singles:?}"),
+                    "sweep report at threads={threads}"
+                );
+            }
+        }
+    }
 }
